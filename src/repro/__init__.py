@@ -8,6 +8,5 @@ Package layout (see DESIGN.md):
 * :mod:`repro.culinarydb` — synthetic recipe-corpus substrate;
 * :mod:`repro.aliasing`   — ingredient-phrase aliasing pipeline;
 * :mod:`repro.core`       — food-pairing analysis (the contribution);
-* :mod:`repro.synth_data` — generic OLAP generators (scaffold);
 * :mod:`repro.oracle`     — DuckDB result-equality checker.
 """

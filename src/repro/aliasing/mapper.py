@@ -26,14 +26,6 @@ from repro.aliasing.ngrams import ngrams
 from repro.aliasing.textnorm import normalize, normalize_name, pluralize
 from repro.flavordb.ingredients import lexicon
 
-ALIAS_SCHEMA = StructType(
-    [
-        StructField("phrase", StringType()),
-        StructField("mapped_id", LongType()),
-        StructField("status", StringType()),
-    ]
-)
-
 
 def build_lexicon(seed: int = 7) -> dict[str, int]:
     """Normalized name/synonym → ingredient_id lookup table.

@@ -6,110 +6,79 @@ pairs vanish and its size drops by one; 2-ingredient recipes drop out of
 the average entirely, having no pairs left).
 
 Rather than re-scoring the cuisine once per ingredient (O(#ingredients)
-passes), the removal is computed exactly in one pass from the pair-level
-decomposition:
+passes), the removal is computed exactly in one pass:
 
     score'_R = 2 (S_R − T_{R,i}) / ((n−1)(n−2))     for recipes R ∋ i, n ≥ 3
 
-where S_R is R's total pair overlap and T_{R,i} the overlap of pairs
-involving i — both plain Spark aggregations over the per-recipe pair
-table.
+where T_{R,i} is the overlap of i with the rest of R and S_R = Σ_i T_{R,i}
+/ 2 is R's total pair overlap.  Both come from the same overlap-matrix
+gather that scores recipes (:func:`repro.core.pairing.pair_overlap_rows`).
+The exploded corpus (≤ 413k rows) is collected and the per-(region,
+ingredient) sums are taken on the driver.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
+from repro.core.pairing import PAD_ID, pair_matrix, pair_overlap_rows
 from repro.flavordb.ingredients import ingredient_master
-
-
-def _scored_pairs(exploded: DataFrame, shared: DataFrame) -> DataFrame:
-    """(recipe_id, region, n, i, j, s) for every unordered recipe pair."""
-    left = exploded.select(
-        "recipe_id", "region", "n", F.col("ingredient_id").alias("i")
-    )
-    right = exploded.select("recipe_id", F.col("ingredient_id").alias("j"))
-    return (
-        left.join(right, on="recipe_id")
-        .where(F.col("i") < F.col("j"))
-        .join(shared, on=["i", "j"], how="left")
-        .withColumn("s", F.coalesce(F.col("shared"), F.lit(0)))
-        .drop("shared")
-    )
 
 
 def ingredient_contributions(exploded: DataFrame, shared: DataFrame) -> DataFrame:
     """χ_i for every (region, ingredient).
 
-    Returns (region, ingredient_id, n_containing, ns_c, ns_without, chi)
-    where ``chi`` = 100 · (N_s^C − N_s^{C∖i}) / N_s^C: positive χ means
-    the ingredient pulls the cuisine's pairing score *up*.
+    ``exploded`` has (recipe_id, region, n, ingredient_id); ``shared``
+    comes from :func:`repro.core.pairing.shared_pairs`.  Returns (region,
+    ingredient_id, n_containing, ns_c, ns_without, chi) where ``chi`` =
+    100 · (N_s^C − N_s^{C∖i}) / N_s^C: positive χ means the ingredient
+    pulls the cuisine's pairing score *up*.
     """
-    pairs = _scored_pairs(exploded, shared)
+    pdf = exploded.select("recipe_id", "region", "n", "ingredient_id").toPandas()
+    # A recipe with one member has no pair, hence no score: it is not counted.
+    pdf = pdf[pdf.groupby("recipe_id")["recipe_id"].transform("size") > 1]
+    recipe, _ = pd.factorize(pdf["recipe_id"])
+    slot = pdf.groupby(recipe).cumcount().to_numpy()
+    padded = np.full((recipe.max() + 1, slot.max() + 1), PAD_ID, dtype=np.int64)
+    padded[recipe, slot] = pdf["ingredient_id"].to_numpy()
+    t = pair_overlap_rows(pair_matrix(shared), padded)
 
-    recipe_tot = pairs.groupBy("recipe_id", "region", "n").agg(
-        F.sum("s").alias("s_r")
-    )
-    recipe_tot = recipe_tot.withColumn(
-        "score", F.col("s_r") * 2.0 / (F.col("n") * (F.col("n") - 1))
-    )
-    region_tot = recipe_tot.groupBy("region").agg(
-        F.sum("score").alias("total_score"), F.count("*").alias("n_r")
-    )
+    n = pdf["n"].to_numpy().astype(np.int64)
+    s_r = t.sum(axis=1)[recipe] // 2
+    pdf["score"] = s_r * 2.0 / (n * (n - 1))
+    # A 2-ingredient recipe has no pair left without i: it leaves the cuisine.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        adj = (s_r - t[recipe, slot]) * 2.0 / ((n - 1) * (n - 2))
+    pdf["adj_score"] = np.where(n >= 3, adj, np.nan)
+    pdf["dropped"] = n == 2
 
-    t_side = pairs.select(
-        "recipe_id", F.col("i").alias("ingredient_id"), "s"
-    ).unionByName(pairs.select("recipe_id", F.col("j").alias("ingredient_id"), "s"))
-    t = t_side.groupBy("recipe_id", "ingredient_id").agg(F.sum("s").alias("t_ri"))
-
-    member = (
-        exploded.join(
-            recipe_tot.select("recipe_id", "s_r", "score"), on="recipe_id"
+    per_region = (
+        pdf.drop_duplicates("recipe_id")
+        .groupby("region")
+        .agg(total_score=("score", "sum"), n_r=("score", "size"))
+    )
+    out = (
+        pdf.groupby(["region", "ingredient_id"])
+        .agg(
+            n_containing=("score", "size"),
+            sum_orig=("score", "sum"),
+            sum_adj=("adj_score", "sum"),
+            n_dropped=("dropped", "sum"),
         )
-        .join(t, on=["recipe_id", "ingredient_id"], how="left")
-        .withColumn("t_ri", F.coalesce(F.col("t_ri"), F.lit(0)))
-        .withColumn(
-            "adj_score",
-            F.when(
-                F.col("n") >= 3,
-                (F.col("s_r") - F.col("t_ri"))
-                * 2.0
-                / ((F.col("n") - 1) * (F.col("n") - 2)),
-            ),
-        )
+        .reset_index()
+        .join(per_region, on="region")
     )
-
-    per_ing = member.groupBy("region", "ingredient_id").agg(
-        F.count("*").alias("n_containing"),
-        F.sum("score").alias("sum_orig"),
-        F.sum("adj_score").alias("sum_adj"),
-        F.sum(F.when(F.col("n") == 2, 1).otherwise(0)).alias("n_dropped"),
+    out["ns_c"] = out["total_score"] / out["n_r"]
+    kept = out["n_r"] - out["n_dropped"]
+    out["ns_without"] = (
+        (out["total_score"] - out["sum_orig"] + out["sum_adj"]) / kept
+    ).where(kept > 0)
+    out["chi"] = (100.0 * (out["ns_c"] - out["ns_without"]) / out["ns_c"]).where(
+        out["ns_c"] != 0
     )
-
-    out = per_ing.join(region_tot, on="region")
-    out = out.withColumn("ns_c", F.col("total_score") / F.col("n_r"))
-    out = out.withColumn(
-        "ns_without",
-        F.when(
-            F.col("n_r") - F.col("n_dropped") > 0,
-            (
-                F.col("total_score")
-                - F.col("sum_orig")
-                + F.coalesce(F.col("sum_adj"), F.lit(0.0))
-            )
-            / (F.col("n_r") - F.col("n_dropped")),
-        ),
-    )
-    out = out.withColumn(
-        "chi",
-        F.when(
-            F.col("ns_c") != 0,
-            100.0 * (F.col("ns_c") - F.col("ns_without")) / F.col("ns_c"),
-        ),
-    )
-    return out.select(
-        "region", "ingredient_id", "n_containing", "ns_c", "ns_without", "chi"
+    return exploded.sparkSession.createDataFrame(
+        out[["region", "ingredient_id", "n_containing", "ns_c", "ns_without", "chi"]]
     )
 
 

@@ -7,17 +7,15 @@ For a recipe R with n ingredients,
 i.e. the mean shared-flavor-molecule count over unordered ingredient
 pairs; the cuisine score N_s^C is the mean of N_s^R over recipes.
 
-Two implementations, cross-checked by tests and the DuckDB oracle:
-
-* **join path** — `shared_pairs` self-joins the long-format profile
-  DataFrame on molecule_id to produce |F_i ∩ F_j| per pair, then
-  `recipe_scores_join` self-joins the exploded corpus per recipe and
-  aggregates.  Pure Catalyst dataflow; exercises shuffle joins.
-* **fast path** — the pair table is collected into a dense
-  (N+1)×(N+1) int32 matrix (≈3.6 MB), broadcast to executors, and
-  `recipe_scores_fast` scores recipe batches with one vectorized NumPy
-  gather per batch.  This is what makes 100,000-recipe randomized
-  cuisines per model per region tractable.
+One implementation: `shared_pairs` self-joins the long-format profile
+DataFrame on molecule_id to produce |F_i ∩ F_j| per pair; `pair_matrix`
+collects that table into a dense (N+1)×(N+1) int32 matrix (≈3.6 MB), and
+`pair_overlap_rows` gathers each recipe's sub-matrix from it.
+`recipe_scores_fast` broadcasts the matrix to executors and scores recipe
+batches with that gather, which is what makes 100,000-recipe randomized
+cuisines per model per region tractable; `repro.core.contribution` uses
+the same gather for χ_i.  The Spark pair-join scorer and the DuckDB SQL
+that tests compare against live in ``tests/``.
 """
 from __future__ import annotations
 
@@ -55,38 +53,34 @@ def shared_pairs(profiles: DataFrame) -> DataFrame:
     )
 
 
-def shared_matrix(spark: SparkSession, profiles: DataFrame) -> np.ndarray:
-    """Dense symmetric overlap matrix from :func:`shared_pairs`.
+def pair_matrix(pairs: DataFrame) -> np.ndarray:
+    """Dense symmetric overlap matrix from a :func:`shared_pairs` table.
 
     Shape (N_INGREDIENTS+1, N_INGREDIENTS+1); index ``PAD_ID`` is an
     all-zero padding slot and the diagonal is zero.
     """
-    pdf = shared_pairs(profiles).toPandas()
+    pdf = pairs.toPandas()
     s = np.zeros((N_INGREDIENTS + 1, N_INGREDIENTS + 1), dtype=np.int32)
     s[pdf["i"].to_numpy(), pdf["j"].to_numpy()] = pdf["shared"].to_numpy()
     return s + s.T
 
 
-def recipe_scores_join(exploded: DataFrame, shared: DataFrame) -> DataFrame:
-    """N_s^R per recipe via DataFrame joins.
+def shared_matrix(spark: SparkSession, profiles: DataFrame) -> np.ndarray:
+    """:func:`pair_matrix` of the profiles' :func:`shared_pairs`."""
+    return pair_matrix(shared_pairs(profiles))
 
-    ``exploded`` has (recipe_id, region, n, ingredient_id); ``shared``
-    comes from :func:`shared_pairs`.  Returns (recipe_id, region, n,
-    score).  Zero-overlap pairs contribute 0 via the left join; recipes
-    whose pairs all have zero overlap still appear (score 0) because the
-    pair self-join always produces n(n-1)/2 rows per recipe.
+
+def pair_overlap_rows(s: np.ndarray, padded: np.ndarray) -> np.ndarray:
+    """T[r, k] = Σ_j s[padded[r, k], padded[r, j]], in ``s``'s dtype.
+
+    ``padded`` holds one recipe per row, filled out with ``PAD_ID``.
+    T[r, k] is the overlap of ingredient k with the rest of recipe r
+    (the diagonal and the padding slot are zero), so a row of T sums to
+    twice the recipe's total pair overlap.  An overlap is at most
+    N_MOLECULES (2,500), so an int32 T cannot overflow below 850k
+    ingredients per recipe.
     """
-    left = exploded.select(
-        "recipe_id", "region", "n", F.col("ingredient_id").alias("i")
-    )
-    right = exploded.select("recipe_id", F.col("ingredient_id").alias("j"))
-    pairs = left.join(right, on="recipe_id").where(F.col("i") < F.col("j"))
-    scored = pairs.join(shared, on=["i", "j"], how="left").withColumn(
-        "shared", F.coalesce(F.col("shared"), F.lit(0))
-    )
-    return scored.groupBy("recipe_id", "region", "n").agg(
-        (F.sum("shared") * 2.0 / (F.first("n") * (F.first("n") - 1))).alias("score")
-    )
+    return np.einsum("rkj->rk", s[padded[:, :, None], padded[:, None, :]])
 
 
 def recipe_scores_fast(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
@@ -114,10 +108,8 @@ def recipe_scores_fast(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
             padded = np.full((len(pdf), max_n), PAD_ID, dtype=np.int64)
             for row, ing in enumerate(pdf["ingredients"]):
                 padded[row, : len(ing)] = ing
-            # Full gather counts each unordered pair twice; the diagonal
-            # and padding rows are zero, so sum/(n(n-1)) is exactly N_s^R.
-            gathered = s[padded[:, :, None], padded[:, None, :]]
-            totals = gathered.sum(axis=(1, 2)).astype(np.float64)
+            # Each unordered pair is counted twice, so sum/(n(n-1)) is N_s^R.
+            totals = pair_overlap_rows(s, padded).sum(axis=1).astype(np.float64)
             pdf = pdf.copy()
             pdf["score"] = totals / (sizes * (sizes - 1.0))
             yield pdf

@@ -21,43 +21,16 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
-import pandas as pd
-import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import (
-    ArrayType,
-    IntegerType,
-    LongType,
-    StringType,
-    StructField,
-    StructType,
-)
 
-from repro.culinarydb.corpus import explode_corpus
+from repro.culinarydb.corpus import expand_plan, explode_corpus
+from repro.culinarydb.generator import gumbel_topk_rows
 from repro.flavordb.ingredients import CATEGORIES, ingredient_master
 
 #: The four models, in the paper's order.
 MODELS = ("random", "frequency", "category", "freq_cat")
-
-RANDOM_SCHEMA = StructType(
-    [
-        StructField("recipe_id", LongType()),
-        StructField("region", StringType()),
-        StructField("n", IntegerType()),
-        StructField("ingredients", ArrayType(LongType())),
-    ]
-)
-
-_PLAN_SCHEMA = StructType(
-    [
-        StructField("code", StringType()),
-        StructField("start", IntegerType()),
-        StructField("count", IntegerType()),
-    ]
-)
 
 
 @dataclass
@@ -126,9 +99,7 @@ def _uniform_or_freq_batch(
     """`random` / `frequency` model: one Gumbel top-k per recipe."""
     sizes = rng.choice(inp.sizes, size=count)
     log_w = np.log(inp.counts) if weighted else np.zeros(len(inp.pool))
-    keys = log_w[None, :] + rng.gumbel(size=(count, len(inp.pool)))
-    order = np.argsort(-keys, axis=1)
-    return sizes, [inp.pool[order[i, : sizes[i]]] for i in range(count)]
+    return sizes, [inp.pool[idx] for idx in gumbel_topk_rows(rng, log_w, sizes)]
 
 
 def _category_batch(
@@ -148,10 +119,8 @@ def _category_batch(
         log_w = (
             np.log(inp.counts[members]) if weighted else np.zeros(len(members))
         )
-        keys = log_w[None, :] + rng.gumbel(size=(len(rows), len(members)))
-        order = np.argsort(-keys, axis=1)
-        for r_i, row in enumerate(rows):
-            picks[row].append(inp.pool[members[order[r_i, : k_vec[row]]]])
+        for row, idx in zip(rows, gumbel_topk_rows(rng, log_w, k_vec[rows])):
+            picks[row].append(inp.pool[members[idx]])
     return sizes, [np.concatenate(p) for p in picks]
 
 
@@ -176,34 +145,19 @@ def random_recipes(
         for code in sorted(inputs)
         for start in range(0, n_rand, batch_size)
     ]
-    plan = spark.createDataFrame(plan_rows, _PLAN_SCHEMA).repartition(
-        max(1, min(len(plan_rows), spark.sparkContext.defaultParallelism * 2))
-    )
     bc = spark.sparkContext.broadcast(inputs)
 
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        inps = bc.value
-        for pdf in batches:
-            for code, start, count in pdf.itertuples(index=False):
-                inp = inps[code]
-                rng = np.random.default_rng(
-                    [seed, zlib.crc32(code.encode()), zlib.crc32(model.encode()), start]
-                )
-                if model in ("random", "frequency"):
-                    sizes, recs = _uniform_or_freq_batch(
-                        rng, inp, int(count), model == "frequency"
-                    )
-                else:
-                    sizes, recs = _category_batch(
-                        rng, inp, int(count), model == "freq_cat"
-                    )
-                yield pd.DataFrame(
-                    {
-                        "recipe_id": start + np.arange(count),
-                        "region": code,
-                        "n": sizes.astype(np.int32),
-                        "ingredients": [r.astype(np.int64) for r in recs],
-                    }
-                )
+    def make_batch(code: str, start: int, count: int):
+        inp = bc.value[code]
+        rng = np.random.default_rng(
+            [seed, zlib.crc32(code.encode()), zlib.crc32(model.encode()), start]
+        )
+        if model in ("random", "frequency"):
+            sizes, recs = _uniform_or_freq_batch(rng, inp, count, model == "frequency")
+        else:
+            sizes, recs = _category_batch(rng, inp, count, model == "freq_cat")
+        return start, sizes, recs
 
-    return plan.mapInPandas(gen, RANDOM_SCHEMA)
+    return expand_plan(
+        spark, plan_rows, spark.sparkContext.defaultParallelism * 2, make_batch
+    )

@@ -18,7 +18,7 @@ Schema of the corpus DataFrame::
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -53,31 +53,30 @@ _PLAN_SCHEMA = StructType(
 )
 
 
-def _generate_df(
+def expand_plan(
     spark: SparkSession,
-    specs: tuple[RegionSpec, ...],
-    seed: int,
-    batch_size: int,
+    plan_rows: list[tuple[str, int, int]],
+    partitions: int,
+    make_batch: Callable[[str, int, int], tuple[int, np.ndarray, list[np.ndarray]]],
 ) -> DataFrame:
-    """Expand a (region, batch) plan into recipes via mapInPandas."""
-    plan_rows = [
-        (s.code, start, min(batch_size, s.n_recipes - start))
-        for s in specs
-        for start in range(0, s.n_recipes, batch_size)
-    ]
+    """Expand a (region code, start, count) plan into recipes via mapInPandas.
+
+    ``make_batch(code, start, count)`` returns (first recipe id, sizes,
+    ingredient-id arrays) for one plan row; it runs on the executors.
+    The plan is spread over at most ``partitions`` partitions.  Output has
+    :data:`CORPUS_SCHEMA`.
+    """
     plan = spark.createDataFrame(plan_rows, _PLAN_SCHEMA).repartition(
-        max(1, min(len(plan_rows), spark.sparkContext.defaultParallelism))
+        max(1, min(len(plan_rows), partitions))
     )
-    by_code = {s.code: s for s in specs}
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
             for code, start, count in pdf.itertuples(index=False):
-                spec = by_code[code]
-                sizes, recipes = generate_batch(spec, int(start), int(count), seed)
+                first_id, sizes, recipes = make_batch(code, int(start), int(count))
                 yield pd.DataFrame(
                     {
-                        "recipe_id": spec.recipe_offset + start + np.arange(count),
+                        "recipe_id": first_id + np.arange(count),
                         "region": code,
                         "n": sizes.astype(np.int32),
                         "ingredients": [r.astype(np.int64) for r in recipes],
@@ -85,6 +84,30 @@ def _generate_df(
                 )
 
     return plan.mapInPandas(gen, CORPUS_SCHEMA)
+
+
+def _generate_df(
+    spark: SparkSession,
+    specs: tuple[RegionSpec, ...],
+    seed: int,
+    batch_size: int,
+) -> DataFrame:
+    """Expand a (region, batch) plan into recipes via :func:`expand_plan`."""
+    plan_rows = [
+        (s.code, start, min(batch_size, s.n_recipes - start))
+        for s in specs
+        for start in range(0, s.n_recipes, batch_size)
+    ]
+    by_code = {s.code: s for s in specs}
+
+    def make_batch(code: str, start: int, count: int):
+        spec = by_code[code]
+        sizes, recipes = generate_batch(spec, start, count, seed)
+        return spec.recipe_offset + start, sizes, recipes
+
+    return expand_plan(
+        spark, plan_rows, spark.sparkContext.defaultParallelism, make_batch
+    )
 
 
 def _coverage_plan(
@@ -196,8 +219,3 @@ def explode_corpus(recipes: DataFrame) -> DataFrame:
 def write_corpus(recipes: DataFrame, path: str) -> None:
     """Materialize the corpus to parquet (jobs cache)."""
     recipes.write.mode("overwrite").parquet(path)
-
-
-def read_corpus(spark: SparkSession, path: str) -> DataFrame:
-    """Load a corpus previously written with :func:`write_corpus`."""
-    return spark.read.parquet(path)

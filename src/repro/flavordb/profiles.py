@@ -97,11 +97,6 @@ def profiles_df(spark: SparkSession, seed: int = 7) -> DataFrame:
     return basic.unionByName(pooled)
 
 
-def profiles_pandas(spark: SparkSession, seed: int = 7) -> pd.DataFrame:
-    """All profiles (basic + pooled compound) collected to pandas."""
-    return profiles_df(spark, seed).toPandas()
-
-
 def shared_matrix_numpy(profiles: pd.DataFrame) -> np.ndarray:
     """Reference dense |F_i ∩ F_j| matrix from long-format profiles.
 

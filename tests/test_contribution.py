@@ -5,7 +5,7 @@ import pyspark.sql.functions as F
 import pytest
 
 from repro.core.contribution import ingredient_contributions, top_contributors
-from repro.core.pairing import recipe_scores_fast
+from repro.core.pairing import recipe_scores_fast, shared_pairs
 
 
 @pytest.fixture(scope="module")
@@ -31,19 +31,23 @@ def _brute_force_ns_without(corpus_pdf: pd.DataFrame, matrix: np.ndarray, ing: i
 
 
 def test_chi_matches_brute_force(spark, corpus_small, contrib, overlap_matrix):
-    corpus_pdf = (
-        corpus_small.where(F.col("region") == "KOR")
-        .select("ingredients")
-        .toPandas()
-    )
-    got = contrib.where(F.col("region") == "KOR").toPandas()
-    # check the 5 most- and least-contributing ingredients exactly
-    check = pd.concat([got.nlargest(5, "chi"), got.nsmallest(5, "chi")])
-    for _, row in check.iterrows():
-        brute = _brute_force_ns_without(
-            corpus_pdf, overlap_matrix, int(row["ingredient_id"])
+    """Every ingredient of both regions against re-scoring without it."""
+    for region in ("KOR", "SAM"):
+        corpus_pdf = (
+            corpus_small.where(F.col("region") == region)
+            .select("ingredients")
+            .toPandas()
         )
-        assert row["ns_without"] == pytest.approx(brute, rel=1e-9), row["ingredient_id"]
+        got = contrib.where(F.col("region") == region).toPandas()
+        assert len(got) > 0
+        for _, row in got.iterrows():
+            brute = _brute_force_ns_without(
+                corpus_pdf, overlap_matrix, int(row["ingredient_id"])
+            )
+            assert row["ns_without"] == pytest.approx(brute, rel=1e-9), (
+                region,
+                row["ingredient_id"],
+            )
 
 
 def test_ns_c_matches_fast_scorer(spark, corpus_small, contrib, overlap_matrix):
@@ -103,3 +107,22 @@ def test_top_contributors_accepts_pandas(contrib):
         a.sort_values(["region", "rank"]).reset_index(drop=True),
         b.sort_values(["region", "rank"]).reset_index(drop=True),
     )
+
+
+def test_single_member_recipe_left_out(spark):
+    """A one-member recipe has no pair: χ is as if it were absent."""
+    profiles = spark.createDataFrame(
+        pd.DataFrame(
+            {"ingredient_id": [0, 0, 0, 1, 1, 1, 2], "molecule_id": [0, 1, 2, 1, 2, 3, 9]}
+        )
+    )
+    rows = {"recipe_id": [1, 1, 1, 2, 2], "n": [3, 3, 3, 2, 2], "ingredient_id": [0, 1, 2, 0, 1]}
+    base = pd.DataFrame(rows).assign(region="X")
+    single = pd.DataFrame({"recipe_id": [3], "n": [1], "ingredient_id": [2], "region": "X"})
+    pairs = shared_pairs(profiles)
+
+    def chi(pdf):
+        got = ingredient_contributions(spark.createDataFrame(pdf), pairs).toPandas()
+        return got.sort_values("ingredient_id").reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(chi(pd.concat([base, single])), chi(base))

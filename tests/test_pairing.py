@@ -1,4 +1,4 @@
-"""Food-pairing score N_s^R: formula, both Spark paths, DuckDB oracle."""
+"""Food-pairing score N_s^R: formula, matrix gather vs join oracle vs DuckDB."""
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
@@ -7,13 +7,14 @@ import pytest
 from repro.core.pairing import (
     PAD_ID,
     cuisine_scores,
+    pair_matrix,
     recipe_scores_fast,
-    recipe_scores_join,
     shared_matrix,
     shared_pairs,
 )
 from repro.flavordb.profiles import profiles_df, shared_matrix_numpy
 from repro.oracle import assert_equivalent
+from tests.join_path import recipe_scores_join
 
 # --- hand-built micro fixture: 3 ingredients, known overlaps -------------
 # F_0 = {0,1,2}, F_1 = {1,2,3}, F_2 = {9}
@@ -49,25 +50,33 @@ def test_shared_pairs_matches_oracle(spark, micro_profiles):
     )
 
 
-def test_recipe_score_formula_micro(spark, micro_profiles):
-    """Recipe {0,1,2}: N_s = 2/(3·2) · (2+0+0) = 2/3."""
+def _micro_scores(spark, micro_profiles, recipe_id, ingredients):
+    """N_s^R of one recipe from the join oracle and from the matrix gather."""
+    n = len(ingredients)
     exploded = spark.createDataFrame(
         pd.DataFrame(
-            {"recipe_id": [1, 1, 1], "region": "X", "n": 3, "ingredient_id": [0, 1, 2]}
+            {"recipe_id": recipe_id, "region": "X", "n": n, "ingredient_id": ingredients}
         )
     )
-    row = recipe_scores_join(exploded, shared_pairs(micro_profiles)).first()
-    assert row["score"] == pytest.approx(2 / 3)
+    recipes = spark.createDataFrame(
+        [(recipe_id, "X", n, ingredients)],
+        "recipe_id long, region string, n int, ingredients array<long>",
+    )
+    pairs = shared_pairs(micro_profiles)
+    return (
+        recipe_scores_join(exploded, pairs).first()["score"],
+        recipe_scores_fast(recipes, pair_matrix(pairs)).first()["score"],
+    )
+
+
+def test_recipe_score_formula_micro(spark, micro_profiles):
+    """Recipe {0,1,2}: N_s = 2/(3·2) · (2+0+0) = 2/3."""
+    for score in _micro_scores(spark, micro_profiles, 1, [0, 1, 2]):
+        assert score == pytest.approx(2 / 3)
 
 
 def test_recipe_score_zero_overlap_recipe(spark, micro_profiles):
-    exploded = spark.createDataFrame(
-        pd.DataFrame(
-            {"recipe_id": [5, 5], "region": "X", "n": 2, "ingredient_id": [0, 2]}
-        )
-    )
-    row = recipe_scores_join(exploded, shared_pairs(micro_profiles)).first()
-    assert row["score"] == 0.0
+    assert _micro_scores(spark, micro_profiles, 5, [0, 2]) == (0.0, 0.0)
 
 
 def test_shared_matrix_matches_numpy_reference(spark, profiles):

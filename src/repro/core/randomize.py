@@ -11,11 +11,11 @@ size distribution; they differ in how recipe ingredients are drawn:
   frequency-weighted within each category.
 
 Model inputs (pools, frequencies, sizes, per-recipe category
-compositions) are derived from the corpus with Spark aggregations;
-recipe generation itself is Spark-parallel ``mapInPandas`` over a
-(region, batch) plan, using vectorized Gumbel top-k weighted sampling
-without replacement.  Output is deterministic in (seed, region, model,
-batch start) regardless of partitioning.
+compositions) are derived on the driver from the corpus collected in
+``recipe_id`` order; recipe generation itself is Spark-parallel
+``mapInPandas`` over a (region, batch) plan, using vectorized Gumbel
+top-k weighted sampling without replacement.  Output is deterministic in
+(seed, region, model, batch start) regardless of partitioning.
 """
 from __future__ import annotations
 
@@ -25,12 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.culinarydb.corpus import expand_plan, explode_corpus
+from repro.culinarydb.corpus import expand_plan
 from repro.culinarydb.generator import gumbel_topk_rows
 from repro.flavordb.ingredients import CATEGORIES, ingredient_master
 
 #: The four models, in the paper's order.
 MODELS = ("random", "frequency", "category", "freq_cat")
+
+#: Random recipes per plan row.  Each batch start seeds its RNG, so
+#: changing this value changes the generated recipes.
+BATCH = 5000
 
 
 @dataclass
@@ -55,17 +59,17 @@ def region_model_inputs(
 ) -> dict[str, RegionInputs]:
     """Derive per-region model inputs from the corpus.
 
-    Usage counts come from a distributed explode + groupBy; per-recipe
-    category compositions are computed from the collected recipes (the
-    corpus is the small side — ≤46k rows of short arrays).
+    The corpus (≤46k rows of short arrays) is collected once and sorted by
+    ``recipe_id``; each pool is ``np.unique`` of the region's ingredients
+    (ascending id).  The samplers return positions into these arrays, so
+    fixing their order keeps the random recipes, and every Z, independent
+    of how Spark partitioned or shuffled the corpus.
     """
-    usage = (
-        explode_corpus(corpus)
-        .groupBy("region", "ingredient_id")
-        .count()
+    recipes = (
+        corpus.select("recipe_id", "region", "n", "ingredients")
         .toPandas()
+        .sort_values("recipe_id")
     )
-    recipes = corpus.select("region", "n", "ingredients").toPandas()
     master = ingredient_master(seed)
     cat_of = master.set_index("ingredient_id")["category"].map(
         {c: k for k, c in enumerate(CATEGORIES)}
@@ -74,19 +78,18 @@ def region_model_inputs(
     cat_arr[master["ingredient_id"].to_numpy()] = cat_of.to_numpy()
 
     out: dict[str, RegionInputs] = {}
-    for region, g in usage.groupby("region"):
-        pool = g["ingredient_id"].to_numpy()
-        counts = g["count"].to_numpy().astype(np.float64)
-        rg = recipes[recipes["region"] == region]
-        sizes = rg["n"].to_numpy().astype(np.int64)
+    for region, rg in recipes.groupby("region"):
+        members = rg["ingredients"].to_numpy()
+        flat = np.concatenate(members).astype(np.int64)
+        pool, counts = np.unique(flat, return_counts=True)
+        rows = np.repeat(np.arange(len(rg)), [len(m) for m in members])
         comp = np.zeros((len(rg), len(CATEGORIES)), dtype=np.int16)
-        for row, ing in enumerate(rg["ingredients"]):
-            np.add.at(comp[row], cat_arr[np.asarray(ing)], 1)
+        np.add.at(comp, (rows, cat_arr[flat]), 1)
         out[region] = RegionInputs(
             code=region,
             pool=pool,
-            counts=counts,
-            sizes=sizes,
+            counts=counts.astype(np.float64),
+            sizes=rg["n"].to_numpy().astype(np.int64),
             cat_idx=cat_arr[pool],
             cat_comp=comp,
         )
@@ -130,7 +133,6 @@ def random_recipes(
     model: str,
     n_rand: int,
     seed: int = 17,
-    batch_size: int = 5000,
 ) -> DataFrame:
     """``n_rand`` randomized recipes per region under ``model``.
 
@@ -141,9 +143,9 @@ def random_recipes(
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     plan_rows = [
-        (code, start, min(batch_size, n_rand - start))
+        (code, start, min(BATCH, n_rand - start))
         for code in sorted(inputs)
-        for start in range(0, n_rand, batch_size)
+        for start in range(0, n_rand, BATCH)
     ]
     bc = spark.sparkContext.broadcast(inputs)
 

@@ -1,13 +1,17 @@
-"""Assemble the synthetic recipe corpus as Spark DataFrames.
+"""Assemble the synthetic recipe corpus as a Spark DataFrame.
 
-Generation is sharded into batches and expanded with ``mapInPandas``;
-each batch is deterministic in (region, batch start, seed) so output is
-identical regardless of partition placement or recomputation.
+:func:`build_corpus` is one ``mapInPandas`` job over one plan row per
+region.  Each region's task generates the region's recipes in fixed
+slices of :data:`BATCH`; every slice is deterministic in (region, slice
+start, seed), so output is identical regardless of partition placement
+or recomputation.
 
-A *coverage pass* then guarantees the Table 1 unique-ingredient counts:
-ingredients of a region's pool that random sampling never used are
-swapped into deterministic recipes, replacing the most popular member
-(whose thousands of other occurrences make the distortion negligible).
+In the same task a *coverage* step (:func:`_cover`) guarantees the
+Table 1 unique-ingredient counts: ingredients of the region's pool that
+random sampling never used are swapped into deterministic recipes,
+replacing the most popular member (whose many other occurrences make
+the distortion negligible).  It reads and changes only that region's
+recipes, so no second pass over the corpus is needed.
 
 Schema of the corpus DataFrame::
 
@@ -43,6 +47,10 @@ CORPUS_SCHEMA = StructType(
         StructField("ingredients", ArrayType(LongType())),
     ]
 )
+
+#: Recipes per :func:`generate_batch` call.  Each batch start seeds its
+#: RNG, so changing this value changes the corpus.
+BATCH = 2000
 
 _PLAN_SCHEMA = StructType(
     [
@@ -86,98 +94,28 @@ def expand_plan(
     return plan.mapInPandas(gen, CORPUS_SCHEMA)
 
 
-def _generate_df(
-    spark: SparkSession,
-    specs: tuple[RegionSpec, ...],
-    seed: int,
-    batch_size: int,
-) -> DataFrame:
-    """Expand a (region, batch) plan into recipes via :func:`expand_plan`."""
-    plan_rows = [
-        (s.code, start, min(batch_size, s.n_recipes - start))
-        for s in specs
-        for start in range(0, s.n_recipes, batch_size)
-    ]
-    by_code = {s.code: s for s in specs}
+def _cover(spec: RegionSpec, recipes: list[np.ndarray]) -> list[np.ndarray]:
+    """Swap each pool member no recipe uses into one of the region's recipes.
 
-    def make_batch(code: str, start: int, count: int):
-        spec = by_code[code]
-        sizes, recipes = generate_batch(spec, start, count, seed)
-        return spec.recipe_offset + start, sizes, recipes
-
-    return expand_plan(
-        spark, plan_rows, spark.sparkContext.defaultParallelism, make_batch
-    )
-
-
-def _coverage_plan(
-    recipes: DataFrame, specs: tuple[RegionSpec, ...]
-) -> tuple[dict[tuple[str, int], list[int]], dict[str, dict[int, int]]]:
-    """Find pool ingredients never sampled and plan deterministic swaps.
-
-    Returns (swaps, counts): ``swaps[(region, local_idx)]`` lists
-    ingredient ids to insert into that recipe; ``counts[region]`` maps
-    ingredient id → usage count (for victim selection).
+    Missing members, in pool order, go to recipe ``k % len(recipes)``.
+    Each replaces the member of that recipe with the highest region-wide
+    usage count (ties: the higher id) among those used at least twice,
+    so removing one occurrence cannot orphan it; without such a member
+    the recipe is left as it is.  Counts are those of the sampled
+    recipes and are not updated as swaps are made, so a member swapped
+    in (count 0) is never chosen as a later victim.
     """
-    usage = (
-        recipes.select("region", F.explode("ingredients").alias("ingredient_id"))
-        .groupBy("region", "ingredient_id")
-        .count()
-        .toPandas()
-    )
-    counts: dict[str, dict[int, int]] = {
-        region: dict(zip(g["ingredient_id"], g["count"]))
-        for region, g in usage.groupby("region")
-    }
-    swaps: dict[tuple[str, int], list[int]] = {}
-    for spec in specs:
-        used = counts.get(spec.code, {})
-        missing = [int(i) for i in spec.pool if int(i) not in used]
-        for k, ing in enumerate(missing):
-            swaps.setdefault((spec.code, k % spec.n_recipes), []).append(ing)
-    return swaps, counts
-
-
-def _apply_swaps(
-    recipes: DataFrame,
-    specs: tuple[RegionSpec, ...],
-    swaps: dict[tuple[str, int], list[int]],
-    counts: dict[str, dict[int, int]],
-) -> DataFrame:
-    """Swap missing ingredients into their planned recipes."""
-    offsets = {s.code: s.recipe_offset for s in specs}
-
-    def fix(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            out_ing = list(pdf["ingredients"])
-            for row_i, (rid, region) in enumerate(zip(pdf["recipe_id"], pdf["region"])):
-                local = int(rid) - offsets[region]
-                inserts = swaps.get((region, local))
-                if not inserts:
-                    continue
-                ing = list(out_ing[row_i])
-                cnt = counts[region]
-                replaced: set[int] = set()
-                for new_ing in inserts:
-                    # Victim: the most-used member not already swapped in
-                    # this pass and used at least twice region-wide, so
-                    # removing one occurrence cannot orphan it.
-                    cand = [
-                        (cnt.get(int(x), 0), int(x))
-                        for x in ing
-                        if int(x) not in replaced and cnt.get(int(x), 0) >= 2
-                    ]
-                    if not cand:
-                        continue
-                    victim = max(cand)[1]
-                    ing[ing.index(victim)] = new_ing
-                    replaced.add(new_ing)
-                out_ing[row_i] = np.asarray(ing, dtype=np.int64)
-            pdf = pdf.copy()
-            pdf["ingredients"] = out_ing
-            yield pdf
-
-    return recipes.mapInPandas(fix, CORPUS_SCHEMA)
+    ids, counts = np.unique(np.concatenate(recipes), return_counts=True)
+    usage = dict(zip(ids.tolist(), counts.tolist()))
+    out = list(recipes)
+    for k, ing in enumerate(spec.pool[~np.isin(spec.pool, ids)]):
+        rec = out[k % len(out)]
+        cand = [(usage[x], x) for x in rec.tolist() if usage.get(x, 0) >= 2]
+        if cand:
+            rec = rec.copy()
+            rec[rec == max(cand)[1]] = ing
+            out[k % len(out)] = rec
+    return out
 
 
 def build_corpus(
@@ -185,28 +123,33 @@ def build_corpus(
     *,
     scale: float = 1.0,
     seed: int = 11,
-    include_other: bool = True,
-    batch_size: int = 2000,
     ensure_coverage: bool = True,
 ) -> DataFrame:
     """Build the recipe corpus at ``scale`` (1.0 → the paper's 45,772).
 
-    ``ensure_coverage`` runs the swap pass that makes the per-region
+    One Spark job over one plan row per region, ``(code, 0, n_recipes)``,
+    spread over ``defaultParallelism`` partitions.  Each row generates
+    the region's recipes in :data:`BATCH`-recipe slices and, with
+    ``ensure_coverage``, applies :func:`_cover` so the per-region
     unique-ingredient counts hit the Table 1 targets exactly.
     """
-    specs = region_specs(scale, seed, include_other)
-    recipes = _generate_df(spark, specs, seed, batch_size)
-    if not ensure_coverage:
-        return recipes
-    recipes = recipes.persist()
-    try:
-        swaps, cnts = _coverage_plan(recipes, specs)
-    except Exception:
-        recipes.unpersist()
-        raise
-    if not swaps:
-        return recipes
-    return _apply_swaps(recipes, specs, swaps, cnts)
+    specs = {s.code: s for s in region_specs(scale, seed)}
+
+    def make_region(code: str, start: int, count: int):
+        spec = specs[code]
+        sizes, recipes = [], []
+        for b in range(start, start + count, BATCH):
+            s, r = generate_batch(spec, b, min(BATCH, start + count - b), seed)
+            sizes.append(s)
+            recipes += r
+        if ensure_coverage:
+            recipes = _cover(spec, recipes)
+        return spec.recipe_offset + start, np.concatenate(sizes), recipes
+
+    plan_rows = [(s.code, 0, s.n_recipes) for s in specs.values()]
+    return expand_plan(
+        spark, plan_rows, spark.sparkContext.defaultParallelism, make_region
+    )
 
 
 def explode_corpus(recipes: DataFrame) -> DataFrame:

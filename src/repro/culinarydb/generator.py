@@ -5,8 +5,11 @@ Table 1's unique-ingredient count), a popularity *ranking* over the pool
 (Zipf weights, Fig. 3b), and a recipe-size distribution (shifted Poisson,
 mean ≈ 9, Fig. 3a).  Recipes are sampled without replacement with
 probability ∝ zipf(rank) × category_boost, vectorized with the Gumbel
-top-k trick inside ``mapInPandas`` batches, so generation is distributed
-and deterministic in ``(scale, seed)`` regardless of partitioning.
+top-k trick.  :func:`generate_batch` seeds its RNG from (seed, region,
+batch start), so the corpus, which
+:func:`repro.culinarydb.corpus.build_corpus` generates in fixed slices
+per region inside Spark, is deterministic in ``(scale, seed)``
+regardless of partitioning.
 
 Pairing-sign mechanism (Fig. 4, encoded per DESIGN.md §2):
 

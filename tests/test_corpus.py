@@ -4,8 +4,8 @@ import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
-from repro.culinarydb.corpus import build_corpus, explode_corpus
-from repro.culinarydb.generator import region_specs
+from repro.culinarydb.corpus import _cover, build_corpus, explode_corpus
+from repro.culinarydb.generator import RegionSpec, region_specs
 from repro.flavordb.ingredients import N_INGREDIENTS
 from repro.oracle import assert_equivalent
 from repro.regions import REGIONS
@@ -124,3 +124,33 @@ def test_scale_without_coverage_smaller_unique_counts(spark):
     pools = {s.code: len(s.pool) for s in region_specs(0.02, 11, True)}
     # without the coverage pass at least one region misses pool members
     assert any(r["u"] < pools[r["region"]] for r in uniq)
+
+
+def test_cover_swaps_missing_members_into_planned_recipes():
+    """Spark-free: the coverage rules on four hand-built recipes.
+
+    Usage: 1 three times, 2 twice, 3–6 once; 7, 8 and 9 never.  Missing
+    members go to recipes 0, 1, 2 in pool order; recipe 3 gets none.
+    """
+    pool = np.arange(1, 10)
+    spec = RegionSpec("T", 4, pool, np.ones(len(pool)), +1, 0)
+    recipes = [np.array(r, dtype=np.int64) for r in ([2, 1, 3], [4, 1], [5, 6], [1, 2])]
+    out = _cover(spec, recipes)
+    # 7 replaces 1 (three uses), not 2 (two uses) or 3 (one use).
+    assert out[0].tolist() == [2, 7, 3]
+    assert out[1].tolist() == [4, 8]
+    # Every member of recipe 2 is used once: no victim, 9 stays missing.
+    assert out[2].tolist() == [5, 6]
+    assert out[3] is recipes[3]
+    assert recipes[0].tolist() == [2, 1, 3]  # inputs are not modified
+    assert all(len(set(r.tolist())) == len(r) for r in out)
+
+
+def test_build_leaves_nothing_persisted(spark):
+    jsc = spark.sparkContext._jsc
+    before = jsc.getPersistentRDDs().size()
+    for cover in (True, False):
+        df = build_corpus(spark, scale=0.02, seed=11, ensure_coverage=cover)
+        df.count()
+        df.unpersist()
+    assert jsc.getPersistentRDDs().size() == before

@@ -1,5 +1,8 @@
 """Randomized-cuisine models: each preserves exactly what the paper says."""
+from dataclasses import astuple
+
 import numpy as np
+import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
@@ -142,3 +145,31 @@ def test_generation_deterministic(spark, inputs):
 def test_unknown_model_rejected(spark, inputs):
     with pytest.raises(ValueError):
         random_recipes(spark, inputs, "bogus", 10)
+
+
+def _inputs_and_draws(spark, corpus):
+    inputs = region_model_inputs(spark, corpus)
+    draws = random_recipes(spark, inputs, "frequency", 300, seed=3).toPandas()
+    draws["ingredients"] = draws["ingredients"].map(tuple)
+    return inputs, draws.sort_values(["region", "recipe_id"]).reset_index(drop=True)
+
+
+def test_inputs_independent_of_partitioning(spark, corpus_mid):
+    """Neither the shuffle width nor the corpus's partitioning changes the
+    model inputs or the recipes drawn from them."""
+    old = spark.conf.get("spark.sql.shuffle.partitions")
+    runs = []
+    try:
+        for n in ("16", "64"):
+            spark.conf.set("spark.sql.shuffle.partitions", n)
+            runs.append(_inputs_and_draws(spark, corpus_mid))
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", old)
+    runs.append(_inputs_and_draws(spark, corpus_mid.repartition(7)))
+    ref_inputs, ref_draws = runs[0]
+    for inputs, draws in runs[1:]:
+        assert inputs.keys() == ref_inputs.keys()
+        for code, inp in inputs.items():
+            for got, want in zip(astuple(inp), astuple(ref_inputs[code])):
+                assert np.array_equal(got, want), code
+        pd.testing.assert_frame_equal(draws, ref_draws)

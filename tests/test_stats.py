@@ -116,6 +116,8 @@ def test_size_summary_mean_about_nine(corpus_mid):
 
 def test_rank_frequency_normalized(corpus_small):
     pdf = rank_frequency(corpus_small).toPandas()
+    # one row per ingredient a region uses
+    assert len(pdf) == sum(len(s.pool) for s in region_specs(0.02, 11, True))
     top = pdf[pdf["rank"] == 1]
     assert (top["rel_freq"] == 1.0).all()
     assert pdf["rel_freq"].between(0, 1).all()

@@ -4,7 +4,7 @@ import pyspark.sql.functions as F
 import pytest
 
 from repro.core.zscore import food_pairing_table
-from repro.regions import by_code
+from repro.regions import REGIONS, by_code
 
 #: Two strongly-positive and two strongly-negative regions keep the
 #: subset test fast while covering both regimes.
@@ -15,6 +15,16 @@ SUBSET = ("ITA", "INSC", "JPN", "EE")
 def table(spark, corpus_mid, overlap_matrix):
     sub = corpus_mid.where(F.col("region").isin(list(SUBSET)))
     return food_pairing_table(spark, sub, overlap_matrix, n_rand=4000, seed=17)
+
+
+def test_signs_match_paper_all_regions(spark, corpus_mid, overlap_matrix):
+    """At least 20 of the 22 regions carry their Fig. 4 sign (z_real needs
+    only the Random Cuisine baseline)."""
+    table = food_pairing_table(
+        spark, corpus_mid, overlap_matrix, n_rand=5000, seed=17, models=("random",)
+    ).set_index("region")
+    signs = {r.code: r.pairing_sign for r in REGIONS}
+    assert sum(np.sign(table.loc[c, "z_real"]) == s for c, s in signs.items()) >= 20
 
 
 def test_table_shape(table):
